@@ -153,7 +153,7 @@ let methods a g =
     ("prop", fun () -> ignore (Sys.opaque_identity (Propagation.compute a)));
     ( "merge",
       fun () ->
-        ignore (Sys.opaque_identity (Lr1.merged_lookaheads (Lr1.build g) a)) );
+        ignore (Sys.opaque_identity (Lr1.merged_lookaheads (Lr1.build g))) );
     ("slr", fun () -> ignore (Sys.opaque_identity (Slr.compute a)));
   ]
 

@@ -1,9 +1,10 @@
 (** Canonical LR(k) construction — the reference implementation the
     LALR(k) extension is validated against.
 
-    Direct generalisation of {!Lr1}: items carry a ≤k-string of
-    look-ahead terminals; closure concatenates FIRSTk of the suffix with
-    the item's string. State counts explode quickly in [k] — this
+    The textbook item-based construction (not {!Lr1}'s unfolding of
+    the LR(0) automaton): items carry a ≤k-string of look-ahead
+    terminals; closure concatenates FIRSTk of the suffix with the
+    item's string. State counts explode quickly in [k] — this
     exists for cross-validation on small grammars, not for production
     use (that is the whole point of the paper). *)
 

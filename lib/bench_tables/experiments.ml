@@ -178,7 +178,7 @@ let method_times_on ~repeats a g =
   let prop = time_median ~repeats (fun () -> Propagation.compute a) in
   let merge =
     time_median ~repeats (fun () ->
-        Lr1.merged_lookaheads (Lr1.build g) a)
+        Lr1.merged_lookaheads (Lr1.build g))
   in
   let slr = time_median ~repeats (fun () -> Slr.compute a) in
   (dp, prop, merge, slr)

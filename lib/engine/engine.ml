@@ -278,7 +278,10 @@ let propagation e =
   let a = lr0 e in
   forceb e e.propagation_s (fun () -> Propagation.compute a)
 
-let lr1 e = forceb e e.lr1_s (fun () -> Lr1.build e.grammar)
+let lr1 e =
+  let an = analysis e in
+  let a = lr0 e in
+  forceb e e.lr1_s (fun () -> Lr1.of_lr0 ~analysis:an a)
 
 let tables e =
   let t = lalr e in

@@ -188,9 +188,9 @@ val slr : t -> Lalr_baselines.Slr.t
 val nqlalr : t -> Lalr_baselines.Nqlalr.t
 val propagation : t -> Lalr_baselines.Propagation.t
 val lr1 : t -> Lalr_baselines.Lr1.t
-(** The canonical LR(1) machine — the one genuinely expensive slot;
-    nothing forces it implicitly except {!classification} on small
-    grammars. *)
+(** The canonical LR(1) machine, unfolded from the {!lr0} slot's
+    automaton ({!Lalr_baselines.Lr1.of_lr0}); nothing forces it
+    implicitly except {!classification} on small grammars. *)
 
 val tables : t -> Lalr_tables.Tables.t
 (** ACTION/GOTO under the exact LALR(1) sets. *)

@@ -74,7 +74,7 @@ let run (ctx : Context.t) =
       let lr1_ran =
         if Grammar.n_productions g > lr1_limit then false
         else begin
-          let merged = Lr1.merged_lookaheads (Eng.lr1 eng) a in
+          let merged = Lr1.merged_lookaheads (Eng.lr1 eng) in
           for r = 0 to n_red - 1 do
             let q, pid = Lalr.reduction lalr r in
             let oracle = Hashtbl.find merged (q, pid) in

@@ -20,8 +20,11 @@ type t = {
    3: the data-layout PR — Lalr.relations went from boxed lists and a
    Hashtbl reduction index to packed CSR arrays and a dense per-state
    index, and Lalr.stats grew the memory-footprint member; every
-   artifact embedding a relations or stats value changed shape. *)
-let format_version = 3
+   artifact embedding a relations or stats value changed shape.
+   4: canonical LR(1) became an unfolding of the LR(0) automaton —
+   Lr1.t went from packed item×terminal kernels and closures to an
+   LR(0) state plus kernel look-ahead sets per state. *)
+let format_version = 4
 
 let magic = "LALRART1"
 

@@ -58,7 +58,7 @@ let classify_common ~with_lr1 g =
   let lalr_tbl = Tables.build ~lookahead:(Lalr.lookahead lalr) a in
   let slr_tbl = Tables.build ~lookahead:(Slr.lookahead slr) a in
   let nq_tbl = Tables.build ~lookahead:(Nqlalr.lookahead nqlalr) a in
-  let lr1 = if with_lr1 then Some (Lr1.build g) else None in
+  let lr1 = if with_lr1 then Some (Lr1.of_lr0 a) else None in
   assemble ~lalr ~slr ~nqlalr ~lalr_tbl ~slr_tbl ~nq_tbl ~lr1 a
 
 let classify g = classify_common ~with_lr1:true g

@@ -31,7 +31,7 @@ let cross_validate ?(with_lr1 = true) g =
   let nq = Nqlalr.compute a in
   let slr = Slr.compute a in
   let merged =
-    if with_lr1 then Some (Lr1.merged_lookaheads (Lr1.build g) a) else None
+    if with_lr1 then Some (Lr1.merged_lookaheads (Lr1.build g)) else None
   in
   let err = ref None in
   let fail state prod what =
@@ -178,6 +178,63 @@ let test_lr1_not_lalr_grammar () =
     (Lr1.n_states c > Lr0.n_states (Lalr.automaton t))
 
 (* ------------------------------------------------------------------ *)
+(* Differential oracle: the unfolding vs the frozen reference builder *)
+(* ------------------------------------------------------------------ *)
+
+(* [Lr1_reference] is the item×terminal builder the unfolding replaced.
+   Both must agree on the state count, the LR(1) verdict and every
+   merged look-ahead set; returns an error description or None. *)
+let lr1_vs_reference g =
+  let a = Lr0.build g in
+  let c = Lr1.of_lr0 a and r = Lr1_reference.build g in
+  let err = ref None in
+  let fail what = if !err = None then err := Some what in
+  if Lr1.n_states c <> Lr1_reference.n_states r then
+    fail
+      (Printf.sprintf "%d states, reference %d" (Lr1.n_states c)
+         (Lr1_reference.n_states r));
+  if Lr1.is_lr1 c <> Lr1_reference.is_lr1 r then fail "is_lr1 differs";
+  let m = Lr1.merged_lookaheads c
+  and mr = Lr1_reference.merged_lookaheads r a in
+  if Hashtbl.length m <> Hashtbl.length mr then
+    fail "merged reduction counts differ";
+  Hashtbl.iter
+    (fun (state, prod) set ->
+      match Hashtbl.find_opt m (state, prod) with
+      | Some s when Bitset.equal s set -> ()
+      | Some _ ->
+          fail (Printf.sprintf "(%d, %d): look-aheads differ" state prod)
+      | None -> fail (Printf.sprintf "(%d, %d): reduction missing" state prod))
+    mr;
+  !err
+
+let test_lr1_oracle_suite () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      match lr1_vs_reference (Lazy.force e.grammar) with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s: %s" e.name msg)
+    Registry.all
+
+let test_lr1_oracle_scaled () =
+  match lr1_vs_reference (Lalr_suite.Scaled.grammar ()) with
+  | None -> ()
+  | Some msg -> Alcotest.failf "Scaled: %s" msg
+
+let prop_lr1_oracle_random =
+  QCheck.Test.make ~name:"unfolded LR(1) = reference (random grammars)"
+    ~count:200 (Randgen.arbitrary ()) (fun g -> lr1_vs_reference g = None)
+
+let prop_lr1_oracle_random_larger =
+  let config =
+    { Randgen.default with n_terminals = 6; n_nonterminals = 8; max_rhs = 5 }
+  in
+  QCheck.Test.make ~name:"unfolded LR(1) = reference (larger random)"
+    ~count:60
+    (Randgen.arbitrary ~config ())
+    (fun g -> lr1_vs_reference g = None)
+
+(* ------------------------------------------------------------------ *)
 (* Propagation internals                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -296,6 +353,15 @@ let () =
           Alcotest.test_case "lr1-not-lalr behaves" `Quick
             test_lr1_not_lalr_grammar;
         ] );
+      ( "lr1-oracle",
+        [
+          Alcotest.test_case "reference agrees on the whole suite" `Slow
+            test_lr1_oracle_suite;
+          Alcotest.test_case "reference agrees on Scaled" `Slow
+            test_lr1_oracle_scaled;
+        ] );
+      qsuite "lr1-oracle-props"
+        [ prop_lr1_oracle_random; prop_lr1_oracle_random_larger ];
       ( "propagation",
         [
           Alcotest.test_case "stats sanity" `Quick test_propagation_stats;

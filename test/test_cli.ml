@@ -114,6 +114,28 @@ let test_store_injections_are_absorbed () =
   Sys.remove g
 
 (* ------------------------------------------------------------------ *)
+(* Verdict golden                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [lalrgen classify] on the language grammars, LR(1) state counts
+   included, byte for byte as the item×terminal LR(1) builder printed
+   it: the unfolding must not move a single verdict line. *)
+let test_classify_golden () =
+  let path = "golden/classify_languages.txt" in
+  let path = if Sys.file_exists path then path else "test/" ^ path in
+  let want = In_channel.with_open_bin path In_channel.input_all in
+  let got =
+    String.concat ""
+      (List.map
+         (fun name ->
+           let code, out = run [ "classify"; "suite:" ^ name ] in
+           Printf.sprintf "$ lalrgen classify suite:%s\n%s[exit %d]\n" name
+             out code)
+         [ "json"; "mini-pascal"; "mini-c"; "modula2"; "ada-subset"; "algol60" ])
+  in
+  Alcotest.(check string) "classify output unchanged" want got
+
+(* ------------------------------------------------------------------ *)
 (* keep-going                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -286,6 +308,8 @@ let () =
           Alcotest.test_case "store injections -> 0" `Quick
             test_store_injections_are_absorbed;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "classify languages" `Quick test_classify_golden ] );
       ( "keep-going",
         [ Alcotest.test_case "partial render" `Quick test_keep_going_partial ] );
       ( "batch",

@@ -203,6 +203,28 @@ let test_budget_trips_named_stage () =
      budget it carries. *)
   check "budget accessor" true (Engine.budget e <> None)
 
+(* CI's budget acceptance run trips in nqlalr before lr1 ever runs, so
+   the LR(1) unfolding's own check points are pinned here: forcing lr1
+   forces lr0 first, and states are counted across the whole pipeline,
+   so with a cap just above the LR(0) count lr1 must be the stage that
+   trips, with its partial artifact named. *)
+let test_budget_trips_in_lr1 () =
+  let g = grammar_of "mini-pascal" in
+  let n_lr0 = Lr0.n_states (Lr0.build g) in
+  let e =
+    Engine.create ~budget:(Budget.create ~max_states:(n_lr0 + 10) ()) g
+  in
+  match Engine.run e Engine.lr1 with
+  | Ok _ -> Alcotest.fail "canonical LR(1) cannot fit in LR(0) + 10 states"
+  | Error (Engine.Budget_exceeded ex) ->
+      Alcotest.(check string) "stage" "lr1" ex.Budget.ex_stage;
+      check "states resource" true (ex.Budget.ex_resource = Budget.States);
+      Alcotest.(check (option string))
+        "partial" (Some "10 canonical LR(1) states constructed")
+        ex.Budget.ex_partial
+  | Error f ->
+      Alcotest.failf "expected Budget_exceeded, got %a" Engine.pp_failure f
+
 let test_unbudgeted_engine_unchanged () =
   let e = Engine.create (grammar_of "expr") in
   check "no budget" true (Engine.budget e = None);
@@ -254,6 +276,8 @@ let () =
           Alcotest.test_case "seeded analysis slot" `Quick test_seeded_analysis;
           Alcotest.test_case "budget trips with stage" `Quick
             test_budget_trips_named_stage;
+          Alcotest.test_case "budget trips in lr1" `Quick
+            test_budget_trips_in_lr1;
           Alcotest.test_case "unbudgeted unchanged" `Quick
             test_unbudgeted_engine_unchanged;
           Alcotest.test_case "failure renders" `Quick test_failure_rendering;

@@ -191,6 +191,12 @@ let full_pipeline e =
   ignore (Engine.tables e);
   ignore (Engine.classification ~with_lr1:false e)
 
+(* The tight-budget rounds also unfold canonical LR(1), whose state
+   blow-up is the largest in the pipeline. *)
+let with_lr1 e =
+  full_pipeline e;
+  ignore (Engine.lr1 e)
+
 let test_engine_under_budget () =
   let st = rng 4 in
   (* The analysis is the expensive part; a tenth of the reader volume
@@ -201,7 +207,7 @@ let test_engine_under_budget () =
     let fuel = 10 + Random.State.int st 5000 in
     let budget = Budget.create ~fuel () in
     let e = Engine.create ~budget g in
-    match Engine.run e full_pipeline with
+    match Engine.run e with_lr1 with
     | Ok () -> ()
     | Error (Engine.Budget_exceeded ex) ->
         Alcotest.(check bool)
@@ -225,7 +231,7 @@ let test_engine_unbudgeted_unchanged () =
     ignore (Random.State.int st 5000);
     (* keep [st] in lockstep with the budgeted case *)
     let e = Engine.create g in
-    match Engine.run e full_pipeline with
+    match Engine.run e with_lr1 with
     | Ok () -> ()
     | Error f ->
         Alcotest.failf "iteration %d (FUZZ_SEED=%d): unbudgeted failure: %s" i

@@ -870,11 +870,19 @@ let test_e2e_chaos_acceptance () =
   Fun.protect
     ~finally:(fun () -> kill_daemon d)
     (fun () ->
+      (* poisoned: the armed serve-worker fault crashes the first
+         worker that picks a job up. It goes out alone and is answered
+         before the rest are sent: with two workers, a job queued beside
+         it could reach the fault check first and take the crash. *)
+      let pcode, pout =
+        run_client
+          [
+            "call"; "--socket"; d.d_sock;
+            {|{"id":"poisoned","file":"suite:expr"}|};
+          ]
+      in
       let requests =
         [
-          (* poisoned: the armed serve-worker fault crashes the first
-             worker that picks a job up *)
-          {|{"id":"poisoned","file":"suite:expr"}|};
           {|{"id":"clean","file":"suite:expr"}|};
           {|{"id":"conflicted","grammar":"%token plus id\n%start e\n%%\ne : e plus e | id ;","format":"cfg"}|};
           {|{"id":"tight","file":"suite:ada-subset","budget":"fuel=10"}|};
@@ -886,11 +894,11 @@ let test_e2e_chaos_acceptance () =
         run_client ([ "call"; "--socket"; d.d_sock ] @ requests)
       in
       let lines =
-        String.split_on_char '\n' out
+        String.split_on_char '\n' (pout ^ out)
         |> List.filter (fun l -> String.length l > 0 && l.[0] = '{')
       in
       Alcotest.(check int) "exactly one response per request"
-        (List.length requests) (List.length lines);
+        (List.length requests + 1) (List.length lines);
       let status_of id =
         match
           List.filter (fun l -> field_string l "id" = Some id) lines
@@ -911,7 +919,8 @@ let test_e2e_chaos_acceptance () =
         (Some "bad_request") (status_of "");
       Alcotest.(check (option string)) "health answered" (Some "health")
         (status_of "h");
-      Alcotest.(check int) "client exit is the worst response" 4 code;
+      Alcotest.(check int) "client exit is the worst response" 4 pcode;
+      Alcotest.(check int) "client exit is the worst response" 3 code;
       (* the daemon survived all of it and still serves *)
       let code2, out2 =
         run_client
